@@ -12,7 +12,6 @@
 
 use bfdn_sim::{Explorer, Move, RoundContext};
 use bfdn_trees::{NodeId, PartialTree, Port};
-use std::collections::{HashMap, HashSet};
 
 /// The CTE explorer (complete-communication model).
 ///
@@ -32,10 +31,20 @@ use std::collections::{HashMap, HashSet};
 #[derive(Clone, Debug)]
 pub struct Cte {
     k: usize,
-    /// Dangling edges inside the explored subtree of each explored node.
-    subtree_open: HashMap<NodeId, u64>,
+    /// Per node id: dangling edges at the node plus known children with
+    /// unfinished subtrees. Zero exactly when the explored subtree holds
+    /// no dangling edge (and while the node is unexplored). Sized from
+    /// the tree's arena on the first round.
+    unfinished: Vec<u32>,
     /// Dangling selections made last round, to account once applied.
-    pending: HashSet<(NodeId, Port)>,
+    /// Several robots may pick the same edge; `sync` sorts and
+    /// deduplicates before folding.
+    pending: Vec<(NodeId, Port)>,
+    /// Scratch: `(position, robot)` pairs, sorted each round to group
+    /// the robots by node in (node, robot) order.
+    by_position: Vec<(NodeId, usize)>,
+    /// Scratch: the unfinished directions at one node.
+    candidates: Vec<Port>,
     initialized: bool,
 }
 
@@ -49,8 +58,10 @@ impl Cte {
         assert!(k >= 1, "need at least one robot");
         Cte {
             k,
-            subtree_open: HashMap::new(),
-            pending: HashSet::new(),
+            unfinished: Vec::new(),
+            pending: Vec::new(),
+            by_position: Vec::with_capacity(k),
+            candidates: Vec::new(),
             initialized: false,
         }
     }
@@ -61,36 +72,40 @@ impl Cte {
         self.k
     }
 
-    /// Folds last round's discoveries into the subtree-open counters.
+    /// Folds last round's discoveries into the unfinished counters.
+    ///
+    /// Amortized O(1) per discovery: a traversal turns a dangling edge
+    /// of `u` into a child, which changes `u`'s count only when the
+    /// child is a leaf. Then `u` may finish, and a finished node
+    /// decrements its parent in turn; every node finishes once.
     fn sync(&mut self, tree: &PartialTree) {
         if !self.initialized {
-            self.subtree_open
-                .insert(NodeId::ROOT, tree.degree(NodeId::ROOT) as u64);
+            self.unfinished = vec![0; tree.capacity()];
+            self.unfinished[NodeId::ROOT.index()] = tree.degree(NodeId::ROOT) as u32;
             self.initialized = true;
         }
-        let pending: Vec<_> = self.pending.drain().collect();
-        for (u, port) in pending {
+        self.pending.sort_unstable();
+        self.pending.dedup();
+        for &(u, port) in &self.pending {
             let child = tree
                 .child_at(u, port)
                 .expect("selected dangling moves are applied");
-            let child_open = (tree.degree(child) - 1) as u64;
-            self.subtree_open.insert(child, child_open);
-            // The traversal consumed one dangling edge and revealed
-            // `deg(child) - 1` new ones; propagate the delta upward.
+            let child_open = (tree.degree(child) - 1) as u32;
+            self.unfinished[child.index()] = child_open;
+            if child_open > 0 {
+                continue;
+            }
             let mut cur = Some(u);
             while let Some(v) = cur {
-                let e = self
-                    .subtree_open
-                    .get_mut(&v)
-                    .expect("ancestors are explored");
-                *e = *e + child_open - 1;
+                let e = &mut self.unfinished[v.index()];
+                *e -= 1;
+                if *e > 0 {
+                    break;
+                }
                 cur = tree.parent(v);
             }
         }
-    }
-
-    fn open_in_subtree(&self, v: NodeId) -> u64 {
-        self.subtree_open.get(&v).copied().unwrap_or(0)
+        self.pending.clear();
     }
 }
 
@@ -99,39 +114,41 @@ impl Explorer for Cte {
         debug_assert_eq!(ctx.k(), self.k, "robot count changed mid-run");
         let tree = ctx.tree;
         self.sync(tree);
-        // Group robots by node.
-        let mut groups: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for i in 0..self.k {
-            groups.entry(ctx.positions[i]).or_default().push(i);
-        }
-        let mut nodes: Vec<NodeId> = groups.keys().copied().collect();
-        nodes.sort_unstable();
-        for v in nodes {
-            let robots = &groups[&v];
-            if self.open_in_subtree(v) == 0 {
+        // Group robots by node: nodes in id order, robots in index
+        // order within each node.
+        self.by_position.clear();
+        self.by_position
+            .extend(ctx.positions[..self.k].iter().copied().zip(0..));
+        self.by_position.sort_unstable();
+        let unfinished = &self.unfinished;
+        for group in self.by_position.chunk_by(|a, b| a.0 == b.0) {
+            let v = group[0].0;
+            if unfinished[v.index()] == 0 {
                 // Finished subtree: everyone heads home.
-                for &i in robots {
+                for &(_, i) in group {
                     out[i] = Move::Up; // ⊥ at the root
                 }
                 continue;
             }
             // Unfinished directions: dangling ports, then children with
             // unfinished subtrees, in port order.
-            let mut candidates: Vec<Port> = tree.dangling_ports(v).collect();
+            let candidates = &mut self.candidates;
+            candidates.clear();
+            candidates.extend(tree.dangling_ports(v));
             candidates.extend(
                 tree.known_children(v)
-                    .filter(|&(_, c)| self.open_in_subtree(c) > 0)
+                    .filter(|&(_, c)| unfinished[c.index()] > 0)
                     .map(|(p, _)| p),
             );
             candidates.sort_unstable();
             debug_assert!(
                 !candidates.is_empty(),
-                "positive subtree-open count implies an unfinished direction"
+                "a positive unfinished count implies an unfinished direction"
             );
-            for (j, &i) in robots.iter().enumerate() {
+            for (j, &(_, i)) in group.iter().enumerate() {
                 let port = candidates[j % candidates.len()];
                 if tree.child_at(v, port).is_none() {
-                    self.pending.insert((v, port));
+                    self.pending.push((v, port));
                 }
                 out[i] = Move::Down(port);
             }

@@ -75,6 +75,9 @@ pub struct BoundTracker {
     edges_discovered: u64,
     stalls: u64,
     reanchors_by_depth: Vec<u64>,
+    /// Running `max(reanchors_by_depth[1..])`, exact because per-depth
+    /// counts only grow.
+    worst_reanchors: u64,
     series: Vec<MarginSample>,
 }
 
@@ -88,6 +91,7 @@ impl BoundTracker {
             edges_discovered: 0,
             stalls: 0,
             reanchors_by_depth: Vec::new(),
+            worst_reanchors: 0,
             series: Vec::new(),
         }
     }
@@ -140,15 +144,10 @@ impl BoundTracker {
         self.series.iter().all(MarginSample::non_negative)
     }
 
+    /// Appends one margin sample. O(1): `emit` keeps the worst
+    /// per-depth reanchor count as a running max.
     fn sample(&mut self, at: u64) {
-        // Lemma 2 concerns depths 1..D-1; depth 0 is the root fallback.
-        let worst_reanchors = self
-            .reanchors_by_depth
-            .iter()
-            .skip(1)
-            .copied()
-            .max()
-            .unwrap_or(0);
+        let worst_reanchors = self.worst_reanchors;
         self.series.push(MarginSample {
             at,
             rounds: self.config.rounds.map(|b| b - self.rounds as f64),
@@ -174,6 +173,11 @@ impl EventSink for BoundTracker {
                     self.reanchors_by_depth.resize(d + 1, 0);
                 }
                 self.reanchors_by_depth[d] += 1;
+                // Lemma 2 concerns depths 1..D-1; depth 0 is the root
+                // fallback.
+                if d >= 1 {
+                    self.worst_reanchors = self.worst_reanchors.max(self.reanchors_by_depth[d]);
+                }
             }
             Event::EdgeDiscovered { .. } => self.edges_discovered += 1,
             Event::RobotStalled { .. } => self.stalls += 1,

@@ -8,7 +8,6 @@
 //! never sees beyond what the paper's model reveals.
 
 use crate::{NodeId, Port};
-use std::collections::BTreeSet;
 
 /// Everything known about one explored node.
 #[derive(Clone, Debug)]
@@ -67,6 +66,25 @@ impl KnownNode {
 /// by the ground-truth [`NodeId`]s, but information about a node is only
 /// available once the node has been explored.
 ///
+/// # Open sets
+///
+/// Open nodes (explored, ≥ 1 dangling edge) are listed per depth in
+/// plain `Vec`s, appended in exploration order. A node is listed once,
+/// when it is explored, and is never removed eagerly when it closes:
+/// readers skip listed nodes whose dangling count has reached zero, and
+/// a list is compacted once it holds more closed nodes than open ones,
+/// so every close costs amortized O(1).
+///
+/// The list at the minimum open depth `d` is sorted by node id once,
+/// when the minimum reaches `d`. It never needs sorting again: the
+/// minimum only moves forward, and it reaches `d` only after every node
+/// at depth `d − 1` is closed, so every node at depth `d` has already
+/// been revealed and that list can only shrink. This is the list
+/// Algorithm 1's `Reanchor` scans every time, in id order, for free.
+/// Deeper lists, which only [`PartialTree::open_nodes_snapshot`] and
+/// off-minimum [`PartialTree::open_nodes_at_depth`] queries read, are
+/// sorted on demand.
+///
 /// # Example
 ///
 /// ```
@@ -86,10 +104,13 @@ pub struct PartialTree {
     nodes: Vec<Option<KnownNode>>,
     explored: Vec<NodeId>,
     total_dangling: usize,
-    /// Open nodes (≥ 1 dangling edge) indexed by depth; sets keep
-    /// iteration deterministic.
-    open_by_depth: Vec<BTreeSet<NodeId>>,
-    /// Cached lower bound on the minimum open depth. The true minimum
+    /// Nodes listed open per depth (see "Open sets" above): every open
+    /// node at its depth, plus closed ones not yet compacted away.
+    /// Id-sorted at `min_open_cursor`, in exploration order deeper down.
+    open_by_depth: Vec<Vec<NodeId>>,
+    /// Number of still-open nodes in each `open_by_depth` list.
+    open_count: Vec<usize>,
+    /// The minimum open depth while any node is open. The true minimum
     /// never decreases over a run (new open nodes appear strictly below
     /// their parent), so a forward-advancing cursor makes
     /// [`PartialTree::min_open_depth`] amortized O(1).
@@ -113,15 +134,13 @@ impl PartialTree {
             dangling: root_degree,
             first_dangling: 0,
         });
-        let mut open_by_depth = vec![BTreeSet::new()];
-        if root_degree > 0 {
-            open_by_depth[0].insert(NodeId::ROOT);
-        }
+        let root_open = usize::from(root_degree > 0);
         PartialTree {
             nodes,
             explored: vec![NodeId::ROOT],
             total_dangling: root_degree,
-            open_by_depth,
+            open_by_depth: vec![vec![NodeId::ROOT; root_open]],
+            open_count: vec![root_open],
             min_open_cursor: 0,
         }
     }
@@ -165,7 +184,7 @@ impl PartialTree {
         let now_closed = ku.dangling == 0;
         self.total_dangling -= 1;
         if now_closed {
-            self.open_by_depth[u_depth as usize].remove(&u);
+            self.close(u_depth as usize);
         }
 
         assert!(
@@ -188,17 +207,61 @@ impl PartialTree {
         self.total_dangling += child_dangling;
         let d = child_depth as usize;
         if self.open_by_depth.len() <= d {
-            self.open_by_depth.resize_with(d + 1, BTreeSet::new);
+            self.open_by_depth.resize_with(d + 1, Vec::new);
+            self.open_count.resize(d + 1, 0);
         }
         if child_dangling > 0 {
-            self.open_by_depth[d].insert(child);
+            // `d` lies strictly below the minimum open depth (`u` was
+            // open), so the sorted list at the minimum is never appended
+            // to.
+            self.open_by_depth[d].push(child);
+            self.open_count[d] += 1;
         }
         // Keep the min-open cursor exact (see `min_open_depth`).
-        while self.min_open_cursor < self.open_by_depth.len()
-            && self.open_by_depth[self.min_open_cursor].is_empty()
+        let before = self.min_open_cursor;
+        while self.min_open_cursor < self.open_count.len()
+            && self.open_count[self.min_open_cursor] == 0
         {
             self.min_open_cursor += 1;
         }
+        if self.min_open_cursor != before && self.min_open_cursor < self.open_by_depth.len() {
+            // The new minimum's list is complete: sort it once.
+            let d = self.min_open_cursor;
+            let mut list = std::mem::take(&mut self.open_by_depth[d]);
+            list.retain(|&v| self.is_open(v));
+            list.sort_unstable();
+            self.open_by_depth[d] = list;
+        }
+    }
+
+    /// Accounts for a node at depth `d` that just closed, compacting
+    /// that depth's list once closed entries outnumber open ones
+    /// (`retain` keeps the order, so a sorted list stays sorted).
+    fn close(&mut self, d: usize) {
+        self.open_count[d] -= 1;
+        if self.open_by_depth[d].len() > 2 * self.open_count[d] {
+            let mut list = std::mem::take(&mut self.open_by_depth[d]);
+            list.retain(|&v| self.is_open(v));
+            self.open_by_depth[d] = list;
+        }
+    }
+
+    /// The still-open nodes listed at `depth`, in list order.
+    fn listed_open(&self, depth: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.open_by_depth
+            .get(depth)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .copied()
+            .filter(|&v| self.is_open(v))
+    }
+
+    /// The open nodes at `depth` in increasing id order, copied out and
+    /// sorted (the list is only kept sorted at the minimum open depth).
+    fn sorted_open(&self, depth: usize) -> Vec<NodeId> {
+        let mut open: Vec<NodeId> = self.listed_open(depth).collect();
+        open.sort_unstable();
+        open
     }
 
     /// Everything known about node `v`, or `None` while unexplored.
@@ -353,27 +416,31 @@ impl PartialTree {
     /// nodes appear strictly below their parent), so [`PartialTree::attach`]
     /// keeps a cursor pointing at the first non-empty depth.
     pub fn min_open_depth(&self) -> Option<usize> {
-        (self.min_open_cursor < self.open_by_depth.len()
-            && !self.open_by_depth[self.min_open_cursor].is_empty())
-        .then_some(self.min_open_cursor)
+        self.open_count
+            .get(self.min_open_cursor)
+            .is_some_and(|&n| n > 0)
+            .then_some(self.min_open_cursor)
     }
 
     /// All open nodes as `(depth, node)` pairs in (depth, id) order —
     /// the snapshot `BFDN_ℓ` hands to its recursive instances.
     pub fn open_nodes_snapshot(&self) -> Vec<(usize, NodeId)> {
-        self.open_by_depth
-            .iter()
-            .enumerate()
-            .flat_map(|(d, set)| set.iter().map(move |&v| (d, v)))
+        (self.min_open_cursor..self.open_by_depth.len())
+            .flat_map(|d| self.sorted_open(d).into_iter().map(move |v| (d, v)))
             .collect()
     }
 
     /// Open nodes at a given depth, in increasing node-id order.
+    ///
+    /// At the minimum open depth this walks the already-sorted list;
+    /// any other depth is copied out and sorted first.
     pub fn open_nodes_at_depth(&self, depth: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.open_by_depth
-            .get(depth)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        let (sorted, copied) = if depth == self.min_open_cursor {
+            (Some(self.listed_open(depth)), Vec::new())
+        } else {
+            (None, self.sorted_open(depth))
+        };
+        sorted.into_iter().flatten().chain(copied)
     }
 
     /// The open nodes of minimum depth — the candidate anchor set `U` of
@@ -439,7 +506,42 @@ impl PartialTree {
     /// Checks internal invariants (counters vs. recomputed values); used
     /// in tests.
     pub fn validate(&self) -> Result<(), String> {
+        // Which nodes each depth's open list names, with the list's
+        // depth; a node listed twice is an error.
+        let mut listed_at: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        for (d, list) in self.open_by_depth.iter().enumerate() {
+            for v in list {
+                let k = self
+                    .known(*v)
+                    .ok_or_else(|| format!("{v} listed open but unexplored"))?;
+                if k.depth() != d {
+                    return Err(format!(
+                        "{v} listed open at depth {d}, lives at {}",
+                        k.depth()
+                    ));
+                }
+                if listed_at[v.index()].replace(d).is_some() {
+                    return Err(format!("{v} listed open twice"));
+                }
+            }
+            let open = list.iter().filter(|&&v| self.is_open(v)).count();
+            if self.open_count.get(d) != Some(&open) {
+                return Err(format!("depth {d}: open counter mismatch"));
+            }
+        }
+        if self.open_count.len() != self.open_by_depth.len() {
+            return Err("open counters and lists differ in length".into());
+        }
+        if let Some(list) = self.open_by_depth.get(self.min_open_cursor) {
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "open list at minimum depth {} not strictly id-sorted",
+                    self.min_open_cursor
+                ));
+            }
+        }
         let mut dangling = 0usize;
+        let mut min_open = None;
         for v in &self.explored {
             let k = self
                 .known(*v)
@@ -449,12 +551,11 @@ impl PartialTree {
                 return Err(format!("{v}: dangling counter mismatch"));
             }
             dangling += listed;
-            let open = self
-                .open_by_depth
-                .get(k.depth())
-                .is_some_and(|s| s.contains(v));
-            if open != (k.dangling > 0) {
-                return Err(format!("{v}: open-set membership mismatch"));
+            if k.dangling > 0 {
+                if listed_at[v.index()].is_none() {
+                    return Err(format!("{v}: open but not listed at its depth"));
+                }
+                min_open = Some(min_open.map_or(k.depth(), |m: usize| m.min(k.depth())));
             }
         }
         if dangling != self.total_dangling {
@@ -462,10 +563,9 @@ impl PartialTree {
         }
         // The cached minimum-open-depth cursor must agree with a full
         // recomputation.
-        let recomputed = self.open_by_depth.iter().position(|s| !s.is_empty());
-        if self.min_open_depth() != recomputed {
+        if self.min_open_depth() != min_open {
             return Err(format!(
-                "min-open cursor {:?} disagrees with recomputed {recomputed:?}",
+                "min-open cursor {:?} disagrees with recomputed {min_open:?}",
                 self.min_open_depth()
             ));
         }

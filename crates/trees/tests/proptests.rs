@@ -139,6 +139,63 @@ proptest! {
     }
 }
 
+/// Brute-force open sets of a partial reveal of `t`: explored nodes with
+/// an unexplored ground-truth child, grouped by depth in id order.
+fn brute_open_by_depth(t: &Tree, pt: &PartialTree) -> Vec<Vec<NodeId>> {
+    let mut by_depth = vec![Vec::new(); t.depth() + 2];
+    for v in t.node_ids() {
+        let open = pt.is_explored(v) && t.children(v).iter().any(|&c| !pt.is_explored(c));
+        if open {
+            by_depth[t.node_depth(v)].push(v);
+        }
+    }
+    by_depth
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reveals `t` one dangling edge at a time in an arbitrary order
+    /// (so deeper open lists fill out of id order) and checks, after
+    /// every attach, each open-set query against a brute-force
+    /// recomputation from the ground-truth tree.
+    #[test]
+    fn open_sets_match_brute_force_under_random_reveals(
+        t in arb_tree(),
+        picks in prop::collection::vec(any::<usize>(), 200),
+    ) {
+        let mut pt = PartialTree::new(t.len(), t.degree(NodeId::ROOT));
+        let mut frontier: Vec<_> = t
+            .child_ports(NodeId::ROOT)
+            .map(|(p, c)| (NodeId::ROOT, p, c))
+            .collect();
+        let mut step = 0usize;
+        loop {
+            let brute = brute_open_by_depth(&t, &pt);
+            prop_assert!(pt.validate().is_ok(), "{:?}", pt.validate());
+            for (d, want) in brute.iter().enumerate() {
+                let got: Vec<NodeId> = pt.open_nodes_at_depth(d).collect();
+                prop_assert_eq!(&got, want, "depth {}", d);
+            }
+            let snapshot: Vec<(usize, NodeId)> = brute
+                .iter()
+                .enumerate()
+                .flat_map(|(d, vs)| vs.iter().map(move |&v| (d, v)))
+                .collect();
+            prop_assert_eq!(pt.open_nodes_snapshot(), snapshot);
+            prop_assert_eq!(pt.min_open_depth(), brute.iter().position(|vs| !vs.is_empty()));
+            if frontier.is_empty() {
+                break;
+            }
+            let (u, port, c) = frontier.swap_remove(picks[step % picks.len()] % frontier.len());
+            step += 1;
+            pt.attach(u, port, c, t.degree(c));
+            frontier.extend(t.child_ports(c).map(|(p, g)| (c, p, g)));
+        }
+        prop_assert!(pt.is_complete());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
