@@ -529,80 +529,91 @@ fn flat_bfdn_matches_hashed_reference_on_families() {
     }
 }
 
-/// Builds every explorer arm at a given intra-round thread budget (set
-/// through the explicit APIs, not `BFDN_ROUND_THREADS`, so the test is
-/// environment-independent).
-fn arms_at(k: usize, threads: usize) -> Vec<Box<dyn bfdn_sim::Explorer>> {
+/// Trace fingerprints for larger teams, one row per (family, k) at
+/// n = 120: the seven arms of [`arms`] in order, then the robust arm
+/// under `RandomStall::new(0.25, 5)`. `GOLDEN` stops at k = 9; these
+/// rows pin the selection loop where more robots contend per node.
+#[rustfmt::skip]
+const LARGE_TEAM_GOLDEN: [(&str, usize, [u64; 8]); 20] = [
+    ("path", 9, [0x80c8ba398d6cbd42, 0x8ed28c1f0f978d30, 0x80c8ba398d6cbd42, 0x80c8ba398d6cbd42, 0xf7c93abe290337fa, 0xf5ee93c5f5d8bd4, 0x84ee4fcbf660f5b2, 0xfc436eec01cea4df]),
+    ("path", 16, [0xb53facaf2d466cc0, 0x251d2696ac01bb67, 0xb53facaf2d466cc0, 0xb53facaf2d466cc0, 0x1bbdb7b00eff0c0f, 0x4458c3ed620ce1f2, 0x2e39a62f1ff1c0f2, 0x94217b97e244f6a5]),
+    ("star", 9, [0x3c0526f03f97e07d, 0xa4410e39f3cd87fd, 0x3c0526f03f97e07d, 0x3c0526f03f97e07d, 0x7c6cfc8c9cd60da1, 0x5c4d7ef59d60fb3d, 0x77c8c1be49eebfbd, 0x578c89a4e857e80]),
+    ("star", 16, [0x3abce05e5c410cfd, 0x6287254cf557653d, 0x3abce05e5c410cfd, 0x3abce05e5c410cfd, 0xb305f721ca37c0a7, 0x8d2c8e5c5f5eb1fd, 0x38667ecd14bbd5bd, 0x16c93545f0374634]),
+    ("binary", 9, [0x45a060a602993072, 0xaf0dbe3865998e7d, 0x7cc0df04f60dfabe, 0x571cc02675e29e18, 0xada5c6b9c27fb40b, 0xa7220721a94d50c3, 0xf9993499ff42275a, 0xc76d7a502c4e3dbf]),
+    ("binary", 16, [0xc046a074a48dbfb7, 0x7d619f660e0c2812, 0x427219bd95420392, 0xf28cdf7712b5ba17, 0xe3c61c6c72bd9f61, 0xdbeb8e25d7cfc419, 0xfcd1ce3c2fb0047a, 0x427e8e7451f5c9c5]),
+    ("caterpillar", 9, [0xb8263b00eccada0a, 0x14986939a7a3cf9a, 0xb8263b00eccada0a, 0xb8263b00eccada0a, 0xd6fffc482ea5ae37, 0xdd9e50fcce631691, 0xa2c90620df7cd842, 0x652fc911b01b53d7]),
+    ("caterpillar", 16, [0x1a71bc05cf6c815, 0xd29cc89d54cc89ce, 0x1a71bc05cf6c815, 0x1a71bc05cf6c815, 0xb72222097f2245a9, 0xf1d6a37a7ea00e82, 0x20e65a2941453942, 0x2285a7bbe28f3e1b]),
+    ("spider", 9, [0x133772454aaddb06, 0x973496dd191f7507, 0xec257315d898b04f, 0x9ca6a847b3b4723b, 0xb23d7a878d997527, 0x580c53a570c2cb86, 0x302464ee52a750c2, 0xac4e53d7ab6f2cb3]),
+    ("spider", 16, [0xe51cd6446313e03c, 0x69312197c7149b7d, 0x8fef512090181e17, 0x1b3b07037c07af15, 0xa8d3d69d4a900072, 0xb3955b6b6c7fcecf, 0x44691fbbefc5e762, 0xdc05d67a433d551d]),
+    ("comb", 9, [0xb7fec98929d17679, 0xd30b0cf1abdbb06, 0xf61729a2a5d73e92, 0xaaec73f0b2dd56f2, 0xee60f0dbf1485ae3, 0x54798cb8eae817cd, 0xc9cbcae9cfecbaf0, 0xf9728ddcf7056333]),
+    ("comb", 16, [0xbb0f81f762335569, 0x856d87a481c0894a, 0x454a9b327266f02, 0xbb0f81f762335569, 0xb5b3372e9f96d051, 0xe97d9c27e38c2d5b, 0x991b5560bfcd38f0, 0x2a11ea0b62e61532]),
+    ("broom", 9, [0x9b364ef9f9970d27, 0xcee48fac90ee1339, 0x9b364ef9f9970d27, 0x9b364ef9f9970d27, 0xa435394f166a9be0, 0x5411c58505a08f1, 0xa350ce85d4eebf9, 0x4397e9eae1b9c055]),
+    ("broom", 16, [0xe9469888da95a22a, 0xafd1773d232b8ae6, 0xe9469888da95a22a, 0xe9469888da95a22a, 0x1d58e11e29ad6535, 0xfe822abd30a40d81, 0x542320c5bc6b75b9, 0x61f93d0b49d1ecb2]),
+    ("random-recursive", 9, [0x598c92d4f9083e62, 0xd81ea4890b3cf198, 0xf660ba4b777edba8, 0xc0abd225a3120581, 0xb0c95490942e0399, 0xd80435c92f3bf14a, 0x3d4d62c296cdcdc7, 0x5817aa44f21555bb]),
+    ("random-recursive", 16, [0x5f0f5c904b09dd46, 0x7b0525c1d8c3f044, 0x9134d67deb412b03, 0x117715dc6bd025c2, 0xbac1a2021e5ce92c, 0x28cc3e1e331fe126, 0x2613e8de325cf767, 0xc96ec848622b3592]),
+    ("uniform-labeled", 9, [0xa83753022df04d9e, 0x9387439a95a54b6b, 0xf50b7415112b8717, 0xcb20a583f681a9b9, 0x50e7eca5c0f1c6b, 0x8b383ecae8f4fef2, 0x7bc6bdc920d22911, 0x1eb2a9ee090516a4]),
+    ("uniform-labeled", 16, [0x87646521cd29c8f1, 0x506bfd7463ddbe88, 0x3361d42d05096a81, 0x299a17c13b74f85, 0xd0476fb644870c76, 0xeb18e085ade21037, 0xf655474b1cb9ff71, 0x89158be88343595d]),
+    ("random-bounded-degree", 9, [0xb67fcf191d6eeee4, 0xf0954c3b85080a4b, 0xf7a04bd73e7d00da, 0x9b655d8dfb0f904d, 0xef914197067e63f7, 0xbac71ff68560e3a3, 0x9c56698149043215, 0x9e7dbfd48e739eab]),
+    ("random-bounded-degree", 16, [0x8b215d082d805dae, 0xb692e9951d649db9, 0x2f9427ea3eddc6f7, 0x894ac5abd379688e, 0x609d3c5244daf019, 0x70d7ffffd85dba90, 0x74865e31a39b2dd5, 0x303fa4d0f2b63b66]),
+];
+
+/// Every explorer arm, in `LARGE_TEAM_GOLDEN` column order: plain,
+/// shortcut+rotating, random-rule, round-robin, write-read, recursive
+/// ℓ=2, recursive ℓ=3.
+fn arms(k: usize) -> Vec<Box<dyn bfdn_sim::Explorer>> {
     vec![
-        Box::new(Bfdn::builder(k).round_threads(threads).build()),
+        Box::new(Bfdn::new(k)),
         Box::new(
             Bfdn::builder(k)
                 .shortcut(true)
                 .selection_order(SelectionOrder::Rotating)
-                .round_threads(threads)
                 .build(),
         ),
         Box::new(
             Bfdn::builder(k)
                 .reanchor_rule(ReanchorRule::Random(11))
-                .round_threads(threads)
                 .build(),
         ),
         Box::new(
             Bfdn::builder(k)
                 .reanchor_rule(ReanchorRule::RoundRobin)
-                .round_threads(threads)
                 .build(),
         ),
-        Box::new(WriteReadBfdn::new(k).with_round_threads(threads)),
-        Box::new(BfdnL::new(k, 2).with_round_threads(threads)),
-        Box::new(BfdnL::new(k, 3).with_round_threads(threads)),
+        Box::new(WriteReadBfdn::new(k)),
+        Box::new(BfdnL::new(k, 2)),
+        Box::new(BfdnL::new(k, 3)),
     ]
 }
 
-/// Intra-round sharding must not change a single byte of any trace:
-/// every explorer arm, every family, thread budgets 1 / 2 / 4, team
-/// sizes on both sides of the `k >= 2·threads` sharding threshold.
 #[test]
-fn round_thread_sharding_is_trace_invariant() {
+fn large_team_traces_match_pinned_golden() {
     for (fi, fam) in Family::ALL.iter().enumerate() {
         let tree = family_instance(*fam, fi, 120);
         for k in [9usize, 16] {
-            let baselines: Vec<Trace> = arms_at(k, 1)
+            let golden = LARGE_TEAM_GOLDEN
+                .iter()
+                .find(|(name, gk, _)| *name == fam.name() && *gk == k)
+                .map(|(_, _, h)| h)
+                .expect("every (family, k) has a golden row");
+            let mut got: Vec<u64> = arms(k)
                 .iter_mut()
-                .map(|algo| trace_of(&tree, k, algo.as_mut()))
+                .map(|algo| hash_trace(&trace_of(&tree, k, algo.as_mut())))
                 .collect();
-            for threads in [2usize, 4] {
-                for (arm, (mut algo, want)) in
-                    arms_at(k, threads).into_iter().zip(&baselines).enumerate()
-                {
-                    let got = trace_of(&tree, k, algo.as_mut());
-                    assert!(
-                        got == *want,
-                        "{} k={k} threads={threads} arm {arm}: sharded trace diverged",
-                        fam.name()
-                    );
-                }
-            }
-            // Robust arm under a seeded stall adversary (blocked robots
-            // become skip slots in the sharded phase).
-            let robust_run = |threads: usize| {
-                let mut algo = Bfdn::builder(k).robust(true).round_threads(threads).build();
-                let mut sim = Simulator::new(&tree, k).record_trace();
-                sim.run_with(
-                    &mut algo,
+            let mut robust = Bfdn::new_robust(k);
+            let mut sim = Simulator::new(&tree, k).record_trace();
+            let out = sim
+                .run_with(
+                    &mut robust,
                     &mut RandomStall::new(0.25, 5),
                     StopCondition::Explored,
                 )
-                .unwrap()
-                .trace
-                .unwrap()
-            };
-            let want = robust_run(1);
-            for threads in [2usize, 4] {
-                assert!(
-                    robust_run(threads) == want,
-                    "{} k={k} threads={threads}: robust sharded trace diverged",
+                .unwrap();
+            got.push(hash_trace(out.trace.as_ref().unwrap()));
+            for (arm, (g, e)) in got.iter().zip(golden.iter()).enumerate() {
+                assert_eq!(
+                    g,
+                    e,
+                    "{} k={k} arm {arm}: trace diverged from the pinned baseline",
                     fam.name()
                 );
             }
