@@ -349,43 +349,45 @@ impl Bfdn {
         new_anchor
     }
 
-    /// The `BF` descent from the root to `anchor`, pop-ordered.
-    fn descent(tree: &PartialTree, anchor: NodeId) -> Vec<Step> {
-        let mut steps = Vec::with_capacity(tree.depth(anchor));
+    /// Refills `walk` with the `BF` descent from the root to `anchor`,
+    /// pop-ordered.
+    fn descent(tree: &PartialTree, anchor: NodeId, walk: &mut Vec<Step>) {
+        walk.clear();
         let mut cur = anchor;
         while let Some(port) = tree.parent_port(cur) {
             // Walking up collects deepest-first — exactly pop order.
-            steps.push(Step::Down(port));
+            walk.push(Step::Down(port));
             cur = tree.parent(cur).expect("non-root has a parent");
         }
-        steps
     }
 
-    /// A relocation walk from `from` to `to` through explored edges (up
-    /// to the LCA, then down), pop-ordered.
-    fn lca_walk(tree: &PartialTree, from: NodeId, to: NodeId) -> Vec<Step> {
+    /// Refills `walk` with a relocation walk from `from` to `to` through
+    /// explored edges (up to the LCA, then down), pop-ordered.
+    fn lca_walk(tree: &PartialTree, from: NodeId, to: NodeId, walk: &mut Vec<Step>) {
+        walk.clear();
         let mut a = from;
         let mut b = to;
-        let mut downs: Vec<Port> = Vec::new();
         let mut ups = 0usize;
         while tree.depth(a) > tree.depth(b) {
             a = tree.parent(a).expect("deeper node has a parent");
             ups += 1;
         }
         while tree.depth(b) > tree.depth(a) {
-            downs.push(tree.parent_port(b).expect("deeper node has a parent port"));
+            walk.push(Step::Down(
+                tree.parent_port(b).expect("deeper node has a parent port"),
+            ));
             b = tree.parent(b).expect("deeper node has a parent");
         }
         while a != b {
             a = tree.parent(a).expect("non-root has a parent");
             ups += 1;
-            downs.push(tree.parent_port(b).expect("non-root has a parent port"));
+            walk.push(Step::Down(
+                tree.parent_port(b).expect("non-root has a parent port"),
+            ));
             b = tree.parent(b).expect("non-root has a parent");
         }
         // Pop order: ups execute first, so they go last.
-        let mut steps: Vec<Step> = downs.into_iter().map(Step::Down).collect();
-        steps.extend(std::iter::repeat_n(Step::Up, ups));
-        steps
+        walk.extend(std::iter::repeat_n(Step::Up, ups));
     }
 
     /// Procedure `DN(i)`: take an adjacent dangling edge not selected by
@@ -453,7 +455,7 @@ impl Explorer for Bfdn {
             let pos = ctx.positions[i];
             if self.robots[i].walk.is_empty() && !self.shortcut && pos.is_root() {
                 let anchor = self.reanchor(i, ctx.tree, sink);
-                self.robots[i].walk = Self::descent(ctx.tree, anchor);
+                Self::descent(ctx.tree, anchor, &mut self.robots[i].walk);
             }
             out[i] = match self.robots[i].walk.pop() {
                 Some(step) => {
@@ -466,7 +468,7 @@ impl Explorer for Bfdn {
                         // Shortcut variant: relocate directly from the
                         // exhausted anchor through the LCA path.
                         let anchor = self.reanchor(i, ctx.tree, sink);
-                        self.robots[i].walk = Self::lca_walk(ctx.tree, pos, anchor);
+                        Self::lca_walk(ctx.tree, pos, anchor, &mut self.robots[i].walk);
                         match self.robots[i].walk.pop() {
                             Some(step) => {
                                 self.robots[i].last_intent = Some((pos, step));

@@ -1,13 +1,14 @@
 //! Incremental construction of [`Tree`]s.
 
-use crate::tree::NodeData;
+use crate::tree::NO_PARENT;
 use crate::{NodeId, Tree};
 
 /// Builds a [`Tree`] one node at a time.
 ///
 /// The builder starts with a root; every further node is attached below an
 /// existing node with [`add_child`](TreeBuilder::add_child). Children are
-/// assigned ports in insertion order.
+/// assigned ports in insertion order. Each node costs one `(parent,
+/// depth)` push; [`build`](TreeBuilder::build) lays out the children.
 ///
 /// # Example
 ///
@@ -22,18 +23,18 @@ use crate::{NodeId, Tree};
 /// ```
 #[derive(Clone, Debug)]
 pub struct TreeBuilder {
-    nodes: Vec<NodeData>,
+    /// Parent index per node ([`NO_PARENT`] for the root).
+    parent: Vec<u32>,
+    /// Distance to the root per node.
+    depth: Vec<u32>,
 }
 
 impl TreeBuilder {
     /// Creates a builder holding only the root node.
     pub fn new() -> Self {
         TreeBuilder {
-            nodes: vec![NodeData {
-                parent: None,
-                children: Vec::new(),
-                depth: 0,
-            }],
+            parent: vec![NO_PARENT],
+            depth: vec![0],
         }
     }
 
@@ -41,7 +42,8 @@ impl TreeBuilder {
     /// reallocating.
     pub fn with_capacity(n: usize) -> Self {
         let mut b = TreeBuilder::new();
-        b.nodes.reserve(n.saturating_sub(1));
+        b.parent.reserve(n.saturating_sub(1));
+        b.depth.reserve(n.saturating_sub(1));
         b
     }
 
@@ -54,13 +56,13 @@ impl TreeBuilder {
     /// Number of nodes added so far (including the root).
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Returns `true` if only the root exists.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
+        self.parent.len() == 1
     }
 
     /// Current depth of a node.
@@ -70,7 +72,7 @@ impl TreeBuilder {
     /// Panics if `v` was not created by this builder.
     #[inline]
     pub fn depth(&self, v: NodeId) -> usize {
-        self.nodes[v.index()].depth as usize
+        self.depth[v.index()] as usize
     }
 
     /// Attaches a new node below `parent` and returns its id.
@@ -79,14 +81,10 @@ impl TreeBuilder {
     ///
     /// Panics if `parent` was not created by this builder.
     pub fn add_child(&mut self, parent: NodeId) -> NodeId {
-        let depth = self.nodes[parent.index()].depth + 1;
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(NodeData {
-            parent: Some(parent),
-            children: Vec::new(),
-            depth,
-        });
-        self.nodes[parent.index()].children.push(id);
+        let depth = self.depth[parent.index()] + 1;
+        let id = NodeId::new(self.parent.len());
+        self.parent.push(parent.index() as u32);
+        self.depth.push(depth);
         id
     }
 
@@ -102,7 +100,7 @@ impl TreeBuilder {
 
     /// Finalizes the tree.
     pub fn build(self) -> Tree {
-        Tree::from_nodes(self.nodes)
+        Tree::from_parents_and_depths(self.parent, self.depth)
     }
 
     /// Builds a tree from a parent array: `parents[i]` is the parent of

@@ -2,9 +2,9 @@
 //!
 //! This crate provides everything the BFDN reproduction needs to *stand on*:
 //!
-//! * [`Tree`] — an arena-based rooted tree with the port-numbering
-//!   convention of the paper (port `0` leads to the parent at every
-//!   non-root node),
+//! * [`Tree`] — a rooted tree in a flat (CSR) arena, with the
+//!   port-numbering convention of the paper (port `0` leads to the
+//!   parent at every non-root node),
 //! * [`PartialTree`] — the fog-of-war view maintained during online
 //!   exploration: explored nodes, discovered edges and *dangling* edges,
 //! * [`generators`] — the workload families used by the experiments
@@ -42,5 +42,5 @@ mod tree;
 pub use builder::TreeBuilder;
 pub use graph::{Endpoint, Graph, GraphBuilder};
 pub use node::{NodeId, Port};
-pub use partial::{KnownNode, PartialTree};
+pub use partial::PartialTree;
 pub use tree::Tree;

@@ -9,54 +9,72 @@
 
 use crate::{NodeId, Port};
 
-/// Everything known about one explored node.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct KnownNode {
-    parent: Option<NodeId>,
-    /// The port *at the parent* through which this node was discovered.
-    parent_port: Option<Port>,
-    depth: u32,
-    degree: usize,
-    /// Per down-port: `Some(child)` once that edge has been traversed,
-    /// `None` while it is dangling. Index `i` corresponds to port `i + 1`
-    /// at non-root nodes and port `i` at the root.
-    down: Vec<Option<NodeId>>,
-    dangling: usize,
-    /// Index into `down` of the first dangling slot (== `down.len()` when
-    /// none) — keeps repeated first-dangling queries amortized O(1).
-    first_dangling: usize,
+/// `parent` of the root.
+const NO_PARENT: u32 = u32::MAX;
+/// `depth` of an unexplored node.
+const UNEXPLORED: u32 = u32::MAX;
+/// A down slot whose edge is still dangling.
+const DANGLING: u32 = u32::MAX;
+
+/// Narrows a count or index to a record field.
+#[inline]
+fn to_u32(x: usize) -> u32 {
+    u32::try_from(x).expect("partial-tree field exceeds u32::MAX")
 }
 
-impl KnownNode {
-    /// Parent of this node in the discovered tree (`None` for the root).
-    #[inline]
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
-    }
-
-    /// Depth of this node.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth as usize
-    }
-
+/// Everything known about one node, packed (see "Layout" on
+/// [`PartialTree`]).
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    /// Parent index; [`NO_PARENT`] for the root.
+    parent: u32,
+    /// Depth; [`UNEXPLORED`] until the node is explored.
+    depth: u32,
     /// Total number of ports (degree in the underlying tree — visible on
     /// arrival per the model of Section 2).
-    #[inline]
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
+    degree: u32,
     /// Number of dangling edges still adjacent to this node.
+    dangling: u32,
+    /// Index (within this node's down slots) of the first dangling slot
+    /// (== the slot count when none) — keeps repeated first-dangling
+    /// queries amortized O(1).
+    first_dangling: u32,
+    /// Offset of this node's down slots in [`PartialTree::down`]. Slot
+    /// `i` corresponds to port `i + 1` at non-root nodes and port `i` at
+    /// the root.
+    down_start: u32,
+    /// The port *at the parent* through which this node was discovered
+    /// (unused at the root).
+    parent_port: u16,
+}
+
+impl Record {
+    const UNEXPLORED: Record = Record {
+        parent: NO_PARENT,
+        depth: UNEXPLORED,
+        degree: 0,
+        dangling: 0,
+        first_dangling: 0,
+        down_start: 0,
+        parent_port: 0,
+    };
+
     #[inline]
-    pub fn dangling(&self) -> usize {
-        self.dangling
+    fn is_explored(&self) -> bool {
+        self.depth != UNEXPLORED
     }
 
+    /// `1` at non-root nodes (port 0 is the parent), `0` at the root.
     #[inline]
     fn down_offset(&self) -> usize {
-        usize::from(self.parent.is_some())
+        usize::from(self.parent != NO_PARENT)
+    }
+
+    /// Range of this node's down slots in [`PartialTree::down`].
+    #[inline]
+    fn down_range(&self) -> std::ops::Range<usize> {
+        let start = self.down_start as usize;
+        start..start + self.degree as usize - self.down_offset()
     }
 }
 
@@ -85,6 +103,18 @@ impl KnownNode {
 /// off-minimum [`PartialTree::open_nodes_at_depth`] queries read, are
 /// sorted on demand.
 ///
+/// # Layout
+///
+/// Each node is one packed `Copy` record (parent, depth, degree,
+/// dangling count, first dangling slot, down-slot offset and parent
+/// port: 28 bytes) in a flat array sized to `capacity` up front; an
+/// unexplored node is a record whose depth is `u32::MAX`. The down
+/// slots of all explored nodes live in one shared array, reserved to
+/// `capacity` up front: exploring a node appends its slots (one per
+/// downward port, `u32::MAX` while dangling, the child's id once
+/// traversed), so a node's slots are contiguous and no node owns an
+/// allocation.
+///
 /// # Example
 ///
 /// ```
@@ -101,7 +131,10 @@ impl KnownNode {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PartialTree {
-    nodes: Vec<Option<KnownNode>>,
+    /// One record per node of the underlying tree.
+    nodes: Vec<Record>,
+    /// The down slots of every explored node, appended on exploration.
+    down: Vec<u32>,
     explored: Vec<NodeId>,
     total_dangling: usize,
     /// Nodes listed open per depth (see "Open sets" above): every open
@@ -124,19 +157,20 @@ impl PartialTree {
     /// information an online algorithm could exploit, and explorers in
     /// this workspace never read it).
     pub fn new(capacity: usize, root_degree: usize) -> Self {
-        let mut nodes = vec![None; capacity.max(1)];
-        nodes[0] = Some(KnownNode {
-            parent: None,
-            parent_port: None,
+        let capacity = capacity.max(1);
+        let mut nodes = vec![Record::UNEXPLORED; capacity];
+        nodes[0] = Record {
             depth: 0,
-            degree: root_degree,
-            down: vec![None; root_degree],
-            dangling: root_degree,
-            first_dangling: 0,
-        });
+            degree: to_u32(root_degree),
+            dangling: to_u32(root_degree),
+            ..Record::UNEXPLORED
+        };
+        let mut down = Vec::with_capacity(capacity.max(root_degree));
+        down.resize(root_degree, DANGLING);
         let root_open = usize::from(root_degree > 0);
         PartialTree {
             nodes,
+            down,
             explored: vec![NodeId::ROOT],
             total_dangling: root_degree,
             open_by_depth: vec![vec![NodeId::ROOT; root_open]],
@@ -157,52 +191,56 @@ impl PartialTree {
     /// Panics if `u` is unexplored, `port` is not a downward port of `u`,
     /// or `child` is already explored via a different edge.
     pub fn attach(&mut self, u: NodeId, port: Port, child: NodeId, child_degree: usize) {
-        let (u_depth, off) = {
-            let ku = self.nodes[u.index()]
-                .as_ref()
-                .expect("attach below an unexplored node");
-            (ku.depth, ku.down_offset())
-        };
+        let ku = self.nodes[u.index()];
+        assert!(ku.is_explored(), "attach below an unexplored node");
         let slot = port
             .index()
-            .checked_sub(off)
+            .checked_sub(ku.down_offset())
             .expect("attach through the parent port");
-        let ku = self.nodes[u.index()].as_mut().expect("checked above");
-        match ku.down.get(slot) {
-            Some(None) => {}
-            Some(Some(existing)) => {
-                assert_eq!(*existing, child, "port already leads to a different node");
+        let slots = &mut self.down[ku.down_range()];
+        match slots.get(slot) {
+            Some(&DANGLING) => {}
+            Some(&existing) => {
+                assert_eq!(
+                    existing as usize,
+                    child.index(),
+                    "port already leads to a different node"
+                );
                 return;
             }
             None => panic!("port {port} out of range at node {u}"),
         }
-        ku.down[slot] = Some(child);
-        ku.dangling -= 1;
-        while ku.first_dangling < ku.down.len() && ku.down[ku.first_dangling].is_some() {
-            ku.first_dangling += 1;
+        slots[slot] = to_u32(child.index());
+        let mut first = ku.first_dangling as usize;
+        while first < slots.len() && slots[first] != DANGLING {
+            first += 1;
         }
-        let now_closed = ku.dangling == 0;
+        let rec = &mut self.nodes[u.index()];
+        rec.first_dangling = first as u32;
+        rec.dangling -= 1;
+        let now_closed = rec.dangling == 0;
         self.total_dangling -= 1;
         if now_closed {
-            self.close(u_depth as usize);
+            self.close(ku.depth as usize);
         }
 
         assert!(
-            self.nodes[child.index()].is_none(),
+            !self.nodes[child.index()].is_explored(),
             "node {child} explored twice"
         );
-        let child_depth = u_depth + 1;
+        let child_depth = ku.depth + 1;
         // All of child's ports except the parent port are dangling.
         let child_dangling = child_degree - 1;
-        self.nodes[child.index()] = Some(KnownNode {
-            parent: Some(u),
-            parent_port: Some(port),
+        self.nodes[child.index()] = Record {
+            parent: to_u32(u.index()),
             depth: child_depth,
-            degree: child_degree,
-            down: vec![None; child_dangling],
-            dangling: child_dangling,
+            degree: to_u32(child_degree),
+            dangling: to_u32(child_dangling),
             first_dangling: 0,
-        });
+            down_start: to_u32(self.down.len()),
+            parent_port: port.index() as u16,
+        };
+        self.down.resize(self.down.len() + child_dangling, DANGLING);
         self.explored.push(child);
         self.total_dangling += child_dangling;
         let d = child_depth as usize;
@@ -264,16 +302,10 @@ impl PartialTree {
         open
     }
 
-    /// Everything known about node `v`, or `None` while unexplored.
-    #[inline]
-    pub fn known(&self, v: NodeId) -> Option<&KnownNode> {
-        self.nodes.get(v.index()).and_then(|n| n.as_ref())
-    }
-
     /// Returns `true` once `v` has been explored.
     #[inline]
     pub fn is_explored(&self, v: NodeId) -> bool {
-        self.known(v).is_some()
+        self.nodes.get(v.index()).is_some_and(Record::is_explored)
     }
 
     /// Parent of an explored node.
@@ -283,7 +315,8 @@ impl PartialTree {
     /// Panics if `v` is unexplored.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.expect_known(v).parent
+        let k = self.expect_known(v);
+        (k.parent != NO_PARENT).then(|| NodeId::new(k.parent as usize))
     }
 
     /// Depth of an explored node.
@@ -293,7 +326,7 @@ impl PartialTree {
     /// Panics if `v` is unexplored.
     #[inline]
     pub fn depth(&self, v: NodeId) -> usize {
-        self.expect_known(v).depth()
+        self.expect_known(v).depth as usize
     }
 
     /// The port *at the parent* through which `v` was discovered (`None`
@@ -304,7 +337,8 @@ impl PartialTree {
     /// Panics if `v` is unexplored.
     #[inline]
     pub fn parent_port(&self, v: NodeId) -> Option<Port> {
-        self.expect_known(v).parent_port
+        let k = self.expect_known(v);
+        (k.parent != NO_PARENT).then(|| Port::new(k.parent_port as usize))
     }
 
     /// Degree of an explored node.
@@ -314,12 +348,22 @@ impl PartialTree {
     /// Panics if `v` is unexplored.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.expect_known(v).degree
+        self.expect_known(v).degree as usize
     }
 
-    fn expect_known(&self, v: NodeId) -> &KnownNode {
-        self.known(v)
-            .unwrap_or_else(|| panic!("node {v} unexplored"))
+    #[inline]
+    fn expect_known(&self, v: NodeId) -> &Record {
+        match self.nodes.get(v.index()) {
+            Some(k) if k.is_explored() => k,
+            _ => panic!("node {v} unexplored"),
+        }
+    }
+
+    /// The down slots of the explored node whose record is `k` (see
+    /// "Layout").
+    #[inline]
+    fn down_slots(&self, k: &Record) -> &[u32] {
+        &self.down[k.down_range()]
     }
 
     /// The node behind down-port `port` of `v`: `Some(child)` if that edge
@@ -335,7 +379,8 @@ impl PartialTree {
             .index()
             .checked_sub(k.down_offset())
             .expect("parent port is not a down port");
-        k.down[slot]
+        let c = self.down_slots(k)[slot];
+        (c != DANGLING).then(|| NodeId::new(c as usize))
     }
 
     /// Iterates over the dangling ports of `v` in increasing port order.
@@ -345,13 +390,13 @@ impl PartialTree {
     /// Panics if `v` is unexplored.
     pub fn dangling_ports(&self, v: NodeId) -> impl Iterator<Item = Port> + '_ {
         let k = self.expect_known(v);
-        let off = k.down_offset();
         // Slots before `first_dangling` are all traversed; skip them.
-        k.down[k.first_dangling..]
+        let skip = k.first_dangling as usize + k.down_offset();
+        self.down_slots(k)[k.first_dangling as usize..]
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(move |(i, _)| Port::new(i + k.first_dangling + off))
+            .filter(|(_, &c)| c == DANGLING)
+            .map(move |(i, _)| Port::new(i + skip))
     }
 
     /// Iterates over the traversed downward edges of `v` as
@@ -363,17 +408,19 @@ impl PartialTree {
     pub fn known_children(&self, v: NodeId) -> impl Iterator<Item = (Port, NodeId)> + '_ {
         let k = self.expect_known(v);
         let off = k.down_offset();
-        k.down
+        self.down_slots(k)
             .iter()
             .enumerate()
-            .filter_map(move |(i, c)| c.map(|c| (Port::new(i + off), c)))
+            .filter(|(_, &c)| c != DANGLING)
+            .map(move |(i, &c)| (Port::new(i + off), NodeId::new(c as usize)))
     }
 
     /// Returns `true` if `v` is explored and still has a dangling edge
     /// ("open" in the terminology of Section 5).
     #[inline]
     pub fn is_open(&self, v: NodeId) -> bool {
-        self.known(v).is_some_and(|k| k.dangling > 0)
+        // Unexplored records have a zero dangling count.
+        self.nodes.get(v.index()).is_some_and(|k| k.dangling > 0)
     }
 
     /// Total number of dangling edges; exploration of the tree part is
@@ -511,13 +558,13 @@ impl PartialTree {
         let mut listed_at: Vec<Option<usize>> = vec![None; self.nodes.len()];
         for (d, list) in self.open_by_depth.iter().enumerate() {
             for v in list {
-                let k = self
-                    .known(*v)
-                    .ok_or_else(|| format!("{v} listed open but unexplored"))?;
-                if k.depth() != d {
+                if !self.is_explored(*v) {
+                    return Err(format!("{v} listed open but unexplored"));
+                }
+                if self.depth(*v) != d {
                     return Err(format!(
                         "{v} listed open at depth {d}, lives at {}",
-                        k.depth()
+                        self.depth(*v)
                     ));
                 }
                 if listed_at[v.index()].replace(d).is_some() {
@@ -542,21 +589,35 @@ impl PartialTree {
         }
         let mut dangling = 0usize;
         let mut min_open = None;
+        let mut slots = 0usize;
         for v in &self.explored {
-            let k = self
-                .known(*v)
-                .ok_or_else(|| format!("{v} listed explored but unknown"))?;
-            let listed = k.down.iter().filter(|c| c.is_none()).count();
-            if listed != k.dangling {
+            if !self.is_explored(*v) {
+                return Err(format!("{v} listed explored but unknown"));
+            }
+            let k = &self.nodes[v.index()];
+            if k.down_range().end > self.down.len() {
+                return Err(format!("{v}: down slots past the arena"));
+            }
+            slots += k.down_range().len();
+            let listed = self.dangling_ports(*v).count();
+            if listed != k.dangling as usize {
                 return Err(format!("{v}: dangling counter mismatch"));
+            }
+            let first = self.down_slots(k).iter().position(|&c| c == DANGLING);
+            if first.unwrap_or(k.down_range().len()) != k.first_dangling as usize {
+                return Err(format!("{v}: first dangling slot mismatch"));
             }
             dangling += listed;
             if k.dangling > 0 {
                 if listed_at[v.index()].is_none() {
                     return Err(format!("{v}: open but not listed at its depth"));
                 }
-                min_open = Some(min_open.map_or(k.depth(), |m: usize| m.min(k.depth())));
+                let d = k.depth as usize;
+                min_open = Some(min_open.map_or(d, |m: usize| m.min(d)));
             }
+        }
+        if slots != self.down.len() {
+            return Err("down-slot arena holds slots of no explored node".into());
         }
         if dangling != self.total_dangling {
             return Err("total dangling mismatch".into());
@@ -645,6 +706,20 @@ mod tests {
         let mut pt = two_level();
         pt.attach(NodeId::new(1), Port::new(1), NodeId::new(3), 1);
         pt.attach(NodeId::new(1), Port::new(1), NodeId::new(4), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "below an unexplored node")]
+    fn attach_below_unexplored_panics() {
+        let mut pt = two_level();
+        pt.attach(NodeId::new(5), Port::new(1), NodeId::new(6), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "through the parent port")]
+    fn attach_through_parent_port_panics() {
+        let mut pt = two_level();
+        pt.attach(NodeId::new(1), Port::UP, NodeId::new(3), 1);
     }
 
     #[test]

@@ -3,19 +3,10 @@
 use crate::{NodeId, Port};
 use std::fmt;
 
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub(crate) struct NodeData {
-    /// Parent node; `None` only for the root.
-    pub(crate) parent: Option<NodeId>,
-    /// Children in port order (child `i` is reached through port `i + 1`
-    /// at non-root nodes, port `i` at the root).
-    pub(crate) children: Vec<NodeId>,
-    /// Distance to the root.
-    pub(crate) depth: u32,
-}
+/// The parent entry of the root.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
-/// An immutable rooted tree stored in an arena.
+/// An immutable rooted tree stored in a flat (CSR) arena.
 ///
 /// Nodes are identified by dense [`NodeId`]s; the root is always
 /// [`NodeId::ROOT`]. Edge endpoints are numbered with [`Port`]s following
@@ -25,6 +16,15 @@ pub(crate) struct NodeData {
 ///
 /// Construct trees with [`TreeBuilder`](crate::TreeBuilder) or one of the
 /// [`generators`](crate::generators).
+///
+/// # Layout
+///
+/// Four flat arrays and no per-node allocation: `parent` and `depth`
+/// per node, and the children of every node in one shared `children`
+/// array, where node `v` owns `children[child_start[v]..child_start[v + 1]]`
+/// in port order. Ids are assigned in insertion order, so a node's
+/// children are its id-sorted bucket and the builder fills all buckets
+/// in one counting-sort pass over the parents.
 ///
 /// # Example
 ///
@@ -36,25 +36,58 @@ pub(crate) struct NodeData {
 /// assert_eq!(tree.max_degree(), 2);
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tree {
-    pub(crate) nodes: Vec<NodeData>,
-    depth: u32,
+    /// Parent index per node; [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
+    /// Distance to the root per node.
+    depth: Vec<u32>,
+    /// `n + 1` offsets into `children`.
+    child_start: Vec<u32>,
+    /// Children of every node, bucketed by parent, each bucket in port
+    /// order (child `i` is reached through port `i + 1` at non-root
+    /// nodes, port `i` at the root).
+    children: Vec<NodeId>,
+    max_depth: u32,
     max_degree: usize,
 }
 
 impl Tree {
-    pub(crate) fn from_nodes(nodes: Vec<NodeData>) -> Self {
-        assert!(!nodes.is_empty(), "a tree has at least its root");
-        let depth = nodes.iter().map(|n| n.depth).max().unwrap_or(0);
-        let max_degree = nodes
-            .iter()
-            .map(|n| n.children.len() + usize::from(n.parent.is_some()))
+    /// Builds the arena from per-node parents and depths (the root
+    /// first, every parent before its children).
+    pub(crate) fn from_parents_and_depths(parent: Vec<u32>, depth: Vec<u32>) -> Self {
+        assert!(!parent.is_empty(), "a tree has at least its root");
+        debug_assert_eq!(parent.len(), depth.len());
+        let n = parent.len();
+        // Counting sort by parent: count into the parent's own slot,
+        // prefix-sum to bucket ends, then fill each bucket back to front
+        // in decreasing id order, leaving `child_start[p]` at the start.
+        let mut child_start = vec![0u32; n + 1];
+        for &p in &parent[1..] {
+            child_start[p as usize] += 1;
+        }
+        let mut end = 0u32;
+        for c in &mut child_start[..n] {
+            end += *c;
+            *c = end;
+        }
+        child_start[n] = end;
+        let mut children = vec![NodeId::ROOT; n - 1];
+        for v in (1..n).rev() {
+            let slot = &mut child_start[parent[v] as usize];
+            *slot -= 1;
+            children[*slot as usize] = NodeId::new(v);
+        }
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let max_degree = (0..n)
+            .map(|v| (child_start[v + 1] - child_start[v]) as usize + usize::from(v != 0))
             .max()
             .unwrap_or(0);
         Tree {
-            nodes,
+            parent,
             depth,
+            child_start,
+            children,
+            max_depth,
             max_degree,
         }
     }
@@ -62,25 +95,25 @@ impl Tree {
     /// Number of nodes `n`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Returns `true` if the tree is just its root.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
+        self.parent.len() == 1
     }
 
     /// Number of edges (`n - 1`).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.nodes.len() - 1
+        self.parent.len() - 1
     }
 
     /// Depth `D` of the tree: the maximum distance from the root.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.depth as usize
+        self.max_depth as usize
     }
 
     /// Maximum degree `Δ` over all nodes (counting the parent edge).
@@ -92,26 +125,35 @@ impl Tree {
     /// Depth `δ(v)` of a node.
     #[inline]
     pub fn node_depth(&self, v: NodeId) -> usize {
-        self.nodes[v.index()].depth as usize
+        self.depth[v.index()] as usize
     }
 
     /// Parent of `v`, or `None` for the root.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.nodes[v.index()].parent
+        let p = self.parent[v.index()];
+        (p != NO_PARENT).then(|| NodeId::new(p as usize))
     }
 
     /// Children of `v` in port order.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.nodes[v.index()].children
+        let i = v.index();
+        &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    }
+
+    /// Number of down ports before the first child: `1` at non-root
+    /// nodes (port 0 is the parent), `0` at the root. Every node but
+    /// the root has a parent, so this reads no array.
+    #[inline]
+    fn down_offset(&self, v: NodeId) -> usize {
+        usize::from(!v.is_root())
     }
 
     /// Degree of `v` (children plus the parent edge when present).
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let d = &self.nodes[v.index()];
-        d.children.len() + usize::from(d.parent.is_some())
+        self.children(v).len() + self.down_offset(v)
     }
 
     /// The node reached from `v` through local port `p`.
@@ -119,11 +161,9 @@ impl Tree {
     /// Returns `None` if `p` is out of range. At a non-root node, port 0
     /// is the parent; at the root all ports are children.
     pub fn neighbor(&self, v: NodeId, p: Port) -> Option<NodeId> {
-        let d = &self.nodes[v.index()];
-        match d.parent {
-            Some(parent) if p.is_up() => Some(parent),
-            Some(_) => d.children.get(p.index() - 1).copied(),
-            None => d.children.get(p.index()).copied(),
+        match self.down_offset(v) {
+            1 if p.is_up() => self.parent(v),
+            off => self.children(v).get(p.index() - off).copied(),
         }
     }
 
@@ -133,24 +173,18 @@ impl Tree {
     ///
     /// Panics if `c` is not a child of `v`.
     pub fn port_to_child(&self, v: NodeId, c: NodeId) -> Port {
-        let d = &self.nodes[v.index()];
-        let pos = d
-            .children
+        let pos = self
+            .children(v)
             .iter()
             .position(|&x| x == c)
             .expect("not a child of this node");
-        if d.parent.is_some() {
-            Port::new(pos + 1)
-        } else {
-            Port::new(pos)
-        }
+        Port::new(pos + self.down_offset(v))
     }
 
     /// The downward ports of `v` (those leading to children).
     pub fn child_ports(&self, v: NodeId) -> impl Iterator<Item = (Port, NodeId)> + '_ {
-        let d = &self.nodes[v.index()];
-        let off = usize::from(d.parent.is_some());
-        d.children
+        let off = self.down_offset(v);
+        self.children(v)
             .iter()
             .enumerate()
             .map(move |(i, &c)| (Port::new(i + off), c))
@@ -160,7 +194,7 @@ impl Tree {
     /// topological order for builder-produced trees: parents precede
     /// children).
     pub fn node_ids(&self) -> impl ExactSizeIterator<Item = NodeId> {
-        (0..self.nodes.len()).map(NodeId::new)
+        (0..self.len()).map(NodeId::new)
     }
 
     /// The path from `v` up to and including the root.
@@ -275,13 +309,13 @@ impl Tree {
     /// increase by one along edges, and every node is reachable from the
     /// root.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
+        if self.parent.is_empty() {
             return Err("empty arena".into());
         }
-        if self.nodes[0].parent.is_some() {
+        if self.parent[0] != NO_PARENT {
             return Err("root has a parent".into());
         }
-        if self.nodes[0].depth != 0 {
+        if self.depth[0] != 0 {
             return Err("root depth is not zero".into());
         }
         let mut seen = vec![false; self.len()];
@@ -345,6 +379,58 @@ impl fmt::Display for Tree {
             self.depth(),
             self.max_degree()
         )
+    }
+}
+
+/// A tree serializes as its parent array alone (`None` at the root);
+/// deserializing rebuilds it through [`TreeBuilder`](crate::TreeBuilder),
+/// so a value that is not a tree is an error, never a broken arena.
+#[cfg(feature = "serde")]
+mod serde_impl {
+    use super::Tree;
+    use crate::{NodeId, TreeBuilder};
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    impl Serialize for Tree {
+        fn serialize(&self) -> Value {
+            let parents: Vec<Option<NodeId>> = self.node_ids().map(|v| self.parent(v)).collect();
+            Value::NewtypeStruct {
+                name: "Tree",
+                value: Box::new(parents.serialize()),
+            }
+        }
+    }
+
+    impl Deserialize for Tree {
+        fn deserialize(value: &Value) -> Result<Self, Error> {
+            let Value::NewtypeStruct {
+                name: "Tree",
+                value,
+            } = value
+            else {
+                return Err(Error::unexpected("newtype struct `Tree`", value));
+            };
+            let parents = Vec::<Option<NodeId>>::deserialize(value)?;
+            let (root, rest) = parents
+                .split_first()
+                .ok_or_else(|| Error::custom("a tree has at least its root"))?;
+            if let Some(p) = root {
+                return Err(Error::custom(format!("root has parent {p}")));
+            }
+            let mut b = TreeBuilder::with_capacity(parents.len());
+            for (v, p) in (1..).zip(rest) {
+                match p {
+                    Some(p) if p.index() < v => b.add_child(*p),
+                    Some(p) => {
+                        return Err(Error::custom(format!(
+                            "parent {p} of node {v} is not an earlier node"
+                        )))
+                    }
+                    None => return Err(Error::custom(format!("node {v} has no parent"))),
+                };
+            }
+            Ok(b.build())
+        }
     }
 }
 
