@@ -27,9 +27,10 @@
 use bfdn_obs::tracing::parse_hex16;
 use bfdn_obs::FleetAggregator;
 use bfdn_service::client::Client;
+use bfdn_service::http;
 use bfdn_service::protocol::TracePayload;
 use bfdn_service::stitch::{stitch, to_chrome_json, ProcessSpans};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -202,36 +203,11 @@ fn serve_http(
     shards: &[String],
     timeout: Duration,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 4096 {
-                    break;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let request_line = String::from_utf8_lossy(&head);
-    let target = request_line
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or("")
-        .to_string();
+    let Some(target) = http::read_request_target(&mut stream) else {
+        return;
+    };
     let (status, content_type, body) = route(&target, aggregator, shards, timeout);
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
+    http::write_response(&mut stream, status, content_type, &body);
 }
 
 fn route(
@@ -283,14 +259,6 @@ mod tests {
     use bfdn_service::protocol::ExploreSpec;
     use bfdn_service::server::{serve, ServerConfig};
 
-    fn http_get(addr: SocketAddr, target: &str) -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect fleet http");
-        write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut body = String::new();
-        stream.read_to_string(&mut body).expect("read reply");
-        body
-    }
-
     #[test]
     fn collector_aggregates_two_live_shards_and_marks_the_dead_one_down() {
         let a = serve(ServerConfig {
@@ -328,7 +296,8 @@ mod tests {
 
         // One full scrape round is guaranteed after ~interval + probes.
         std::thread::sleep(Duration::from_millis(600));
-        let body = http_get(handle.addr(), "/metrics");
+        let (status, body) = http::get(handle.addr(), "/metrics").expect("fleet /metrics");
+        assert_eq!(status, "HTTP/1.1 200 OK");
 
         assert!(body.contains("bfdn_fleet_shards 3"));
         assert!(body.contains("bfdn_fleet_shards_up 2"));
@@ -345,7 +314,7 @@ mod tests {
         // Margin rollup: worst over the fleet, finite once runs exist.
         assert!(body.contains("bfdn_bound_margin_worst{bound=\"theorem1_rounds\"}"));
 
-        let missing = http_get(handle.addr(), "/nope");
+        let (missing, _) = http::get(handle.addr(), "/nope").expect("fleet 404");
         assert!(missing.contains("404"));
 
         handle.stop();

@@ -14,10 +14,8 @@
 
 use bfdn_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Thread-safe collector for everything the drivers observe.
 pub struct Collector {
@@ -285,29 +283,17 @@ pub fn metric_value(exposition: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// Scrapes `http://{addr}/metrics` with a plain socket and returns the
-/// body.
+/// Scrapes `http://{addr}/metrics` and returns the body.
 ///
 /// # Errors
 ///
 /// I/O failure, a non-200 status, or a malformed response.
 pub fn scrape_http_metrics(addr: &str) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.write_all(b"GET /metrics HTTP/1.1\r\nHost: bfdn\r\nConnection: close\r\n\r\n")?;
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply)?;
-    if !reply.starts_with("HTTP/1.1 200") {
-        return Err(io::Error::other(format!(
-            "scrape answered {}",
-            reply.lines().next().unwrap_or("nothing")
-        )));
+    let (status, body) = bfdn_service::http::get(addr, "/metrics")?;
+    if !status.starts_with("HTTP/1.1 200") {
+        return Err(io::Error::other(format!("scrape answered {status}")));
     }
-    let body = reply
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::other("scrape reply has no body"))?
-        .1;
-    Ok(body.to_string())
+    Ok(body)
 }
 
 impl SloConfig {

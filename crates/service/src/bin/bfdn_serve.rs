@@ -3,8 +3,8 @@
 //! ```text
 //! bfdn-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!            [--cache-capacity N] [--cache-shards N]
-//!            [--spill PATH] [--store-dir DIR] [--store-budget-bytes N]
-//!            [--compact-trigger N] [--migrate-spill PATH]
+//!            [--store-dir DIR] [--store-budget-bytes N]
+//!            [--compact-trigger N]
 //!            [--manifest-dir DIR]
 //!            [--metrics-addr HOST:PORT] [--metrics-scrapers N]
 //!            [--access-log PATH] [--access-log-max-bytes N] [--slow-ms MS]
@@ -25,13 +25,12 @@
 //! directory serves byte-identical results with zero re-executions.
 //! `--store-budget-bytes` hard-caps the resident memory tier (overflow
 //! stays on disk); `--compact-trigger` sets the dead-bytes threshold of
-//! the background compactor; `--migrate-spill PATH` imports a legacy
-//! JSONL spill into the store once at startup. `--spill` is deprecated
-//! when a store is configured (it is imported, not loaded resident).
+//! the background compactor. `--store-dir` is the daemon's only
+//! persistence; `bfdn-store-admin migrate` imports old JSONL files.
 //!
 //! The process serves until a client sends a `shutdown` request, then
-//! drains in-flight jobs (spilling the cache when `--spill` is set) and
-//! exits. Hand-rolled flag parsing — the workspace deliberately carries
+//! drains in-flight jobs (persisting the store index when `--store-dir`
+//! is set) and exits. Hand-rolled flag parsing — the workspace deliberately carries
 //! no CLI dependency.
 
 use bfdn_service::server::{serve, ServerConfig};
@@ -64,7 +63,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 let v = value("--cache-shards")?;
                 config.cache.shards = v.parse().map_err(|_| format!("bad --cache-shards `{v}`"))?;
             }
-            "--spill" => config.spill = Some(PathBuf::from(value("--spill")?)),
             "--store-dir" => config.store_dir = Some(PathBuf::from(value("--store-dir")?)),
             "--store-budget-bytes" => {
                 let v = value("--store-budget-bytes")?;
@@ -78,9 +76,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 config.compact_trigger_bytes = v
                     .parse()
                     .map_err(|_| format!("bad --compact-trigger `{v}`"))?;
-            }
-            "--migrate-spill" => {
-                config.migrate_spill = Some(PathBuf::from(value("--migrate-spill")?));
             }
             "--manifest-dir" => config.manifest_dir = Some(PathBuf::from(value("--manifest-dir")?)),
             "--metrics-addr" => config.metrics_addr = Some(value("--metrics-addr")?),
@@ -142,8 +137,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (try --addr --workers --queue-depth \
-                     --cache-capacity --cache-shards --spill --store-dir \
-                     --store-budget-bytes --compact-trigger --migrate-spill \
+                     --cache-capacity --cache-shards --store-dir \
+                     --store-budget-bytes --compact-trigger \
                      --manifest-dir \
                      --metrics-addr --metrics-scrapers --access-log \
                      --access-log-max-bytes --slow-ms \

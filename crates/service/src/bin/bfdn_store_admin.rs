@@ -3,25 +3,31 @@
 //!
 //! ```text
 //! bfdn-store-admin migrate --store-dir DIR --spill PATH [--revision REV]
-//! bfdn-store-admin stats   --store-dir DIR [--revision REV]
-//! bfdn-store-admin compact --store-dir DIR [--revision REV]
+//! bfdn-store-admin stats   --store-dir DIR
+//! bfdn-store-admin compact --store-dir DIR
 //! ```
 //!
-//! `migrate` is the one-shot legacy-spill import: every well-formed
-//! JSONL payload line becomes one store record, the spill header's
-//! revision is validated against the store's stamp, and the counts
-//! (imported / refused / malformed) are printed. Re-running a migration
-//! supersedes the earlier import — the duplicates are dead bytes that
-//! `compact` (or the daemon's background compactor) reclaims.
+//! `migrate` is the one-shot import of a legacy JSONL spill, the
+//! daemon's persistence format before `bfdn-store`; this binary is the
+//! only code that still reads it. Every well-formed payload line becomes
+//! one store record, the spill header's revision is validated against
+//! the store's stamp, and the counts (imported / refused / malformed)
+//! are printed. Re-running a migration supersedes the earlier import —
+//! the duplicates are dead bytes that `compact` (or the daemon's
+//! background compactor) reclaims.
 //!
-//! `--revision` overrides the stamp the store is opened with; without
-//! it the binary's own git revision is used, exactly like the daemon.
+//! `migrate` opens the store stamped with `--revision`, or without it
+//! with the binary's own git revision, exactly like the daemon. `stats`
+//! and `compact` open an existing store unstamped, so they never clear
+//! a store that another revision wrote.
 //! Hand-rolled flag parsing — the workspace deliberately carries no CLI
 //! dependency.
 
-use bfdn_service::migrate_spill;
+use bfdn_service::jsonval::Json;
+use bfdn_service::ExploreResult;
 use bfdn_store::{Store, StoreConfig};
-use std::path::PathBuf;
+use std::io::{self, BufRead};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Invocation {
@@ -55,6 +61,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
             }
         }
     }
+    if command != "migrate" && (spill.is_some() || revision.is_some()) {
+        return Err(format!(
+            "--spill and --revision apply to migrate only, not {command}"
+        ));
+    }
     Ok(Invocation {
         command,
         store_dir: store_dir.ok_or("--store-dir is required")?,
@@ -63,9 +74,85 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     })
 }
 
+/// What [`migrate_spill`] found in a spill file.
+#[derive(Default)]
+struct SpillReport {
+    /// Lines successfully parsed and imported.
+    loaded: usize,
+    /// Lines skipped as malformed.
+    malformed: usize,
+    /// Entries refused because the spill's revision differs from the store's.
+    refused: usize,
+    /// `true` when the header named a different git revision.
+    revision_mismatch: bool,
+}
+
+/// Replays a legacy JSONL spill file into `store`, one record per
+/// well-formed payload line. A header line naming a revision that
+/// definitely differs from the store's stamp refuses every entry;
+/// headerless files and unknown revisions on either side import.
+/// Malformed lines are counted, not fatal (a spill from a crashed
+/// daemon may end in a torn line).
+fn migrate_spill(store: &mut Store, path: &Path) -> io::Result<SpillReport> {
+    let reader = io::BufReader::new(std::fs::File::open(path)?);
+    let store_revision = store.revision().map(String::from);
+    let mut report = SpillReport::default();
+    let mut first_payload_line = true;
+    let mut refuse = false;
+    for line in reader.lines() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        if first_payload_line {
+            first_payload_line = false;
+            if let Some(header_revision) = parse_spill_header(&line) {
+                if let (Some(ours), Some(theirs)) = (&store_revision, &header_revision) {
+                    refuse = ours != theirs;
+                    report.revision_mismatch = refuse;
+                }
+                continue;
+            }
+        }
+        if refuse {
+            report.refused += 1;
+            continue;
+        }
+        // Parse before appending: only payloads the running build can
+        // serve belong in the store.
+        match ExploreResult::from_payload_json(&line) {
+            Ok(result) => {
+                store.put(&result.spec.canonical(), &result.payload_json())?;
+                report.loaded += 1;
+            }
+            Err(_) => report.malformed += 1,
+        }
+    }
+    Ok(report)
+}
+
+/// Recognizes a spill header line; returns its recorded revision
+/// (`Some(None)` for an explicit `null`) or `None` when the line is not
+/// a header.
+fn parse_spill_header(line: &str) -> Option<Option<String>> {
+    let v = Json::parse(line).ok()?;
+    match v.get("spill").and_then(Json::as_str) {
+        Some("bfdn-result-cache") => {
+            Some(v.get("revision").and_then(Json::as_str).map(String::from))
+        }
+        _ => None,
+    }
+}
+
 fn run(inv: Invocation) -> Result<(), String> {
     let mut config = StoreConfig::new(&inv.store_dir);
-    config.revision = inv.revision.or_else(bfdn_obs::git_revision);
+    if inv.command == "migrate" {
+        config.revision = inv.revision.or_else(bfdn_obs::git_revision);
+    } else if !inv.store_dir.is_dir() {
+        // Opening would create an empty, unstamped store at a mistyped
+        // path; a daemon adopting it later could never refuse it.
+        return Err(format!("no store at {}", inv.store_dir.display()));
+    }
     let (mut store, report) = Store::open(config).map_err(|e| format!("cannot open store: {e}"))?;
     if report.revision_mismatch {
         eprintln!(
@@ -141,8 +228,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("bfdn-store-admin: {e}");
             eprintln!(
-                "usage: bfdn-store-admin <migrate|stats|compact> --store-dir DIR \
-                 [--spill PATH] [--revision REV]"
+                "usage: bfdn-store-admin migrate --store-dir DIR --spill PATH [--revision REV]\n       \
+                 bfdn-store-admin <stats|compact> --store-dir DIR"
             );
             return ExitCode::from(2);
         }

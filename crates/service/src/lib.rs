@@ -17,8 +17,7 @@
 //!   request string. A sharded in-memory LRU in front, optionally
 //!   backed by the `bfdn-store` log-structured compressed store
 //!   (write-through puts, indexed disk reads on memory misses, a hard
-//!   resident-bytes budget) — the legacy JSONL spill remains for
-//!   store-less warm restarts.
+//!   resident-bytes budget), the daemon's only persistence.
 //! - [`parallel`] — the deterministic work-sharing substrate (now hosted
 //!   by `bfdn-sim` so the explorers' round loops can shard on it too;
 //!   re-exported here and by the harness), used both by the local
@@ -26,6 +25,9 @@
 //! - [`server`] — the daemon: bounded job queue with `Busy`
 //!   backpressure, a worker pool, per-job observability, graceful
 //!   drain on shutdown.
+//! - [`http`] — the one plain-HTTP shim: request-head reader, response
+//!   writer and `GET` client behind every `/metrics` listener and
+//!   scraper in the workspace.
 //! - [`telemetry`] — the daemon's metrics surface: Prometheus-rendered
 //!   request/latency/cache/bound-margin instruments (exposed through
 //!   the `Metrics` wire request and an optional `--metrics-addr` HTTP
@@ -45,6 +47,7 @@
 pub mod cache;
 pub mod client;
 pub mod exec;
+pub mod http;
 pub mod jsonval;
 pub use bfdn_sim::parallel;
 pub mod protocol;
@@ -52,7 +55,7 @@ pub mod server;
 pub mod stitch;
 pub mod telemetry;
 
-pub use cache::{migrate_spill, CacheConfig, ResultCache, SpillReport};
+pub use cache::{CacheConfig, ResultCache};
 pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorCode, ExploreOptions, ExploreResult, ExploreSpec, Request, Response, WireError,

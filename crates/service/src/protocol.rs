@@ -391,7 +391,7 @@ pub struct ExploreResult {
 
 impl ExploreResult {
     /// Serializes the cache-stable payload: everything except the
-    /// transport-dependent `cached` flag. Spill files and byte-equality
+    /// transport-dependent `cached` flag. The result store and byte-equality
     /// checks use this form, so a cache hit is literally byte-identical
     /// to the original computation.
     pub fn payload_json(&self) -> String {
@@ -428,7 +428,7 @@ impl ExploreResult {
         Self::from_payload_value(p, cached)
     }
 
-    /// Decodes a bare payload object (as spilled to disk) into a result
+    /// Decodes a bare payload object (as stored on disk) into a result
     /// with the given `cached` flag.
     pub(crate) fn from_payload_value(p: &Json, cached: bool) -> Result<Self, WireError> {
         let spec = p
@@ -460,8 +460,9 @@ impl ExploreResult {
         })
     }
 
-    /// Parses one spill-file line (a bare payload object).
-    pub(crate) fn from_payload_json(line: &str) -> Result<Self, WireError> {
+    /// Parses one bare payload object, as [`ExploreResult::payload_json`]
+    /// writes it.
+    pub fn from_payload_json(line: &str) -> Result<Self, WireError> {
         let v = Json::parse(line).map_err(|e| WireError::bad_request(e.to_string()))?;
         Self::from_payload_value(&v, false)
     }
@@ -636,12 +637,10 @@ pub struct CacheStatsPayload {
     pub hits: u64,
     /// Lookup misses.
     pub misses: u64,
-    /// Entries inserted (spill loads included).
+    /// Entries inserted.
     pub insertions: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Entries warm-loaded from a spill file over the cache's lifetime.
-    pub spill_loaded: u64,
     /// Approximate bytes of resident payload JSON across all shards.
     pub resident_bytes: u64,
     /// Lookups answered from the on-disk result store (a third outcome,
@@ -666,7 +665,6 @@ impl CacheStatsPayload {
             .u64("misses", self.misses)
             .u64("insertions", self.insertions)
             .u64("evictions", self.evictions)
-            .u64("spill_loaded", self.spill_loaded)
             .u64("resident_bytes", self.resident_bytes)
             .u64("store_hits", self.store_hits)
             .u64("segments", self.segments)
@@ -686,7 +684,6 @@ impl CacheStatsPayload {
             evictions: require_u64(v, "evictions")?,
             // Absent on pre-telemetry peers: default rather than reject,
             // so a new client can still read an old daemon's stats.
-            spill_loaded: v.get("spill_loaded").and_then(Json::as_u64).unwrap_or(0),
             resident_bytes: v.get("resident_bytes").and_then(Json::as_u64).unwrap_or(0),
             store_hits: v.get("store_hits").and_then(Json::as_u64).unwrap_or(0),
             segments: v.get("segments").and_then(Json::as_u64).unwrap_or(0),
@@ -1249,7 +1246,6 @@ mod tests {
                 misses: 3,
                 insertions: 3,
                 evictions: 0,
-                spill_loaded: 1,
                 resident_bytes: 2048,
                 store_hits: 4,
                 segments: 2,

@@ -1,8 +1,9 @@
 //! End-to-end tests of the store-backed daemon: a restart against a
 //! populated store serves byte-identically with zero re-executions, a
 //! crash-truncated segment tail is tolerated (never fatal), a legacy
-//! spill migrates into the store, and the resident-bytes budget holds
-//! under load while overflow stays retrievable.
+//! spill imported by `bfdn-store-admin migrate` serves warm, and the
+//! resident-bytes budget holds under load while overflow stays
+//! retrievable.
 
 use bfdn_service::client::Client;
 use bfdn_service::protocol::ExploreSpec;
@@ -162,24 +163,33 @@ fn legacy_spill_migrates_into_the_store() {
     let spill = dir.join("cache.jsonl");
     let store = dir.join("store");
 
-    // A store-less server writes the legacy spill on shutdown.
-    let handle = start(ServerConfig {
-        spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
+    // A headerless legacy spill: one cache-stable payload per line.
+    let handle = start(ServerConfig::default());
     let mut client = connect(&handle);
     let cold = client.explore(spec_for(9)).expect("cold");
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
-    assert!(spill.exists());
+    std::fs::write(&spill, format!("{}\n", cold.payload_json())).unwrap();
 
-    // A store-backed server imports it once at startup and serves the
-    // spec from disk without re-executing.
-    let handle = start(ServerConfig {
-        store_dir: Some(store.clone()),
-        migrate_spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
+    // The admin binary imports it once.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bfdn-store-admin"))
+        .args(["migrate", "--store-dir"])
+        .arg(&store)
+        .arg("--spill")
+        .arg(&spill)
+        .output()
+        .expect("run bfdn-store-admin");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 imported, 0 refused"), "{stdout}");
+
+    // A store-backed server serves the spec from disk without
+    // re-executing.
+    let handle = start(store_config(&store));
     let mut client = connect(&handle);
     let warm = client.explore(spec_for(9)).expect("warm");
     assert!(warm.cached, "served from the migrated store");
